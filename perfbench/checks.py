@@ -17,7 +17,7 @@ None compares against a stored copy of earlier output.  A check returns
 (e) the run compares the outputs of its repeated passes for equality.
 
 :func:`single_fault_failures` is not a check but counted work: decoding
-the syndrome of each single fault of a DEM.
+the syndrome of single faults of a DEM.
 """
 
 from __future__ import annotations
@@ -186,17 +186,18 @@ def schedule_structure_check(code, schedule) -> "str | None":
     return None
 
 
-def single_fault_failures(dem, decoder) -> int:
-    """Decode every mechanism's own syndrome; count wrong observable predictions.
+def single_fault_failures(dem, decoder, stride: int = 1) -> tuple[int, int]:
+    """Decode single-fault syndromes; count wrong observable predictions.
 
     A decoder given the syndrome of exactly one fault should predict that
-    fault's observable flips.  Returns how many of the ``num_mechanisms``
-    decodes do not.
+    fault's observable flips.  Decodes the syndrome of every ``stride``-th
+    mechanism and returns ``(decodes, wrong)``.
     """
-    syndromes = np.zeros((dem.num_mechanisms, dem.num_detectors), dtype=np.uint8)
-    expected = np.zeros((dem.num_mechanisms, dem.num_observables), dtype=np.uint8)
-    for row, mechanism in enumerate(dem.mechanisms):
+    mechanisms = dem.mechanisms[::stride]
+    syndromes = np.zeros((len(mechanisms), dem.num_detectors), dtype=np.uint8)
+    expected = np.zeros((len(mechanisms), dem.num_observables), dtype=np.uint8)
+    for row, mechanism in enumerate(mechanisms):
         syndromes[row, list(mechanism.detectors)] = 1
         expected[row, list(mechanism.observables)] = 1
     predictions = decoder.decode_batch(syndromes)
-    return int(np.count_nonzero((predictions != expected).any(axis=1)))
+    return len(mechanisms), int(np.count_nonzero((predictions != expected).any(axis=1)))

@@ -4,19 +4,20 @@
 
 A run makes its inputs from ``--seed`` (:mod:`workloads`), then repeats
 *rounds* for about ``--seconds``, at least two.  A round is one timed pass
-(a full synthesis or a full ``Pipeline.run()``) plus, on ``memory_d5``,
-the single-fault sweep.  After the rounds it runs the output checks
-(:mod:`checks`) on the last pass and compares the passes with each other.
+(a full synthesis or a full ``Pipeline.run()``) plus, on ``memory_d5`` and
+``bb72_bposd``, the single-fault sweep.  After the rounds it runs the
+output checks (:mod:`checks`) on the last pass and compares the passes
+with each other.
 The last line of standard output is one JSON object::
 
     {"correct": true, "attempted": 8430, "failed": 390, "metrics": {...}}
 
 ``--trace 0`` reports the end-to-end metrics: ``wall_s`` (median pass
 time), ``peak_rss_mb`` (peak resident memory once the passes are done)
-and ``setup_s`` (median over three fresh interpreters of the time from
-start to inputs ready).  ``--trace 1`` runs exactly two rounds -- an
-untraced pass, then a traced pass -- and reports the per-layer metrics of
-:class:`tracing.Tracer`.
+and ``setup_s`` (the median time from start to inputs ready of fresh
+interpreters, three started before each round and three after the last).
+``--trace 1`` runs exactly two rounds -- an untraced pass, then a traced
+pass -- and reports the per-layer metrics of :class:`tracing.Tracer`.
 """
 
 from __future__ import annotations
@@ -47,7 +48,9 @@ from tracing import Tracer
 
 HERE = Path(__file__).resolve().parent
 
-#: Fresh interpreters started per run to time set-up.
+#: Fresh interpreters started before each round, and after the last, to
+#: time set-up.  Spreading them over the run makes their median follow the
+#: machine's average speed rather than its speed at one moment.
 SETUP_PROBES = 3
 #: Seconds a set-up probe may take before it counts as hung.
 SETUP_TIMEOUT = 120
@@ -65,8 +68,8 @@ class Round:
     failed: int
 
 
-def setup_seconds(workload: str, seed: int) -> float:
-    """Median time from interpreter start to inputs ready, over fresh processes."""
+def setup_seconds(workload: str, seed: int) -> "list[float]":
+    """Times from interpreter start to inputs ready of ``SETUP_PROBES`` fresh processes."""
     samples = []
     for _ in range(SETUP_PROBES):
         started = time.monotonic()
@@ -78,7 +81,7 @@ def setup_seconds(workload: str, seed: int) -> float:
             check=True,
         )
         samples.append(float(probe.stdout.strip().splitlines()[-1]) - started)
-    return statistics.median(samples)
+    return samples
 
 
 def pass_signature(pipeline) -> tuple:
@@ -117,11 +120,12 @@ def run_round(workload, spec, tracer=None):
             pipeline = run_pass(spec)
             seconds = time.perf_counter() - started
     attempted, failed = 1, 0
-    if workload.fault_sweep:
+    if workload.sweep_stride:
         factory = registries.decoders.build(spec.decoder)
         for dem in pipeline.dem.values():
-            attempted += dem.num_mechanisms
-            failed += checks.single_fault_failures(dem, factory(dem))
+            decodes, wrong = checks.single_fault_failures(dem, factory(dem), workload.sweep_stride)
+            attempted += decodes
+            failed += wrong
     return Round(pass_signature(pipeline), seconds, attempted, failed), pipeline
 
 
@@ -199,16 +203,19 @@ def main(argv=None) -> int:
         for counter in ("sim.dem_py_calls", "decoders.py_calls"):
             metrics[counter] = (tracer.python_calls(counter), "count")
     else:
-        metrics["setup_s"] = (setup_seconds(args.workload, args.seed), "s")
+        setup: list[float] = []
         started = time.perf_counter()
         # Stop before a pass that would likely end past --seconds.
         while len(rounds) < MIN_PASSES or (
             time.perf_counter() - started + statistics.median(r.seconds for r in rounds)
             <= args.seconds
         ):
+            setup += setup_seconds(args.workload, args.seed)
             pipeline = None  # free the previous pass before the next one
             done, pipeline = run_round(workload, spec)
             rounds.append(done)
+        setup += setup_seconds(args.workload, args.seed)
+        metrics["setup_s"] = (statistics.median(setup), "s")
         metrics["wall_s"] = (statistics.median(r.seconds for r in rounds), "s")
         metrics["peak_rss_mb"] = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MiB")
 

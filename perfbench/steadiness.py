@@ -1,10 +1,10 @@
 """Run each workload repeatedly and report how much its metrics spread.
 
-    python3 perfbench/steadiness.py                      # 10 runs per workload
-    python3 perfbench/steadiness.py --runs 5 --workload memory_d5 --first-seed 100
+    python3 perfbench/steadiness.py                  # seeds 1-10 on every workload
+    python3 perfbench/steadiness.py --first-seed 11  # seeds 11-20
 
-Each run is a separate ``perfbench/run.py`` process with its own seed (the
-run length comes from ``BENCHMARK.json``).  For every end-to-end metric the
+Each workload runs ten times, each run a separate ``perfbench/run.py``
+process with its own seed (the run length comes from ``BENCHMARK.json``).  For every end-to-end metric the
 table gives the median, the first and third quartiles
 (``statistics.quantiles(values, n=4)``) and the spread ``(q3 - q1) /
 median`` next to the metric's bound.  A spread below a third of the bound
@@ -23,8 +23,10 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-#: A run may take this long before it counts as hung (the contract's limit).
+#: A run may take this long before it counts as hung.
 RUN_TIMEOUT = 180
+#: Runs per workload: enough for quartiles, and what a regression is judged on.
+RUNS = 10
 
 
 def run_once(workload: str, seed: int, seconds: int) -> dict:
@@ -48,24 +50,19 @@ def summarise(values: "list[float]", bound: float) -> str:
 def main(argv=None) -> int:
     config = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--workload", action="append",
-                        choices=[w["name"] for w in config["workloads"]])
     args = parser.parse_args(argv)
-    if args.runs < 2:
-        parser.error("--runs must be at least 2 to have quartiles")
 
-    for workload in args.workload or [w["name"] for w in config["workloads"]]:
+    for workload in [w["name"] for w in config["workloads"]]:
         results = []
-        for seed in range(args.first_seed, args.first_seed + args.runs):
+        for seed in range(args.first_seed, args.first_seed + RUNS):
             results.append(run_once(workload, seed, config["run_seconds"]))
             print(f"{workload} seed {seed}: " + " ".join(
                 f"{name}={entry['value']:.4f}" for name, entry in results[-1]["metrics"].items()
             ), flush=True)
         shares = {(r["failed"], r["attempted"]) for r in results}
         share_values = {failed / attempted for failed, attempted in shares}
-        print(f"== {workload}: {args.runs} runs, correct in "
+        print(f"== {workload}: {RUNS} runs, correct in "
               f"{sum(r['correct'] for r in results)}, failed/attempted "
               f"{sorted(shares)} -> {'identical share' if len(share_values) == 1 else 'SHARE DIFFERS'}")
         for metric in config["end_to_end"]:

@@ -26,6 +26,7 @@ from repro.scheduling.schedule import PauliCheck, Schedule  # noqa: E402
 from repro.sim.dem import build_detector_error_model  # noqa: E402
 from repro.sim.estimator import fraction_wrong  # noqa: E402
 from repro.sim.sampler import sample_detector_error_model  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -116,11 +117,17 @@ def test_detector_probabilities_match_exact_parity_of_two_mechanisms():
     assert np.allclose(checks.detector_probabilities(dem), [0.1, 0.1 * 0.8 + 0.9 * 0.2])
 
 
-def test_wrong_decoder_fails_sweep_and_wilson_agreement(surface):
-    circuit, dem = surface[2], surface[3]
-    assert checks.single_fault_failures(dem, LookupDecoder(dem)) == 0
-    assert checks.single_fault_failures(dem, FlippedDecoder(dem)) == dem.num_mechanisms
+@pytest.mark.parametrize("workload", ["memory_d5", "bb72_bposd"])
+def test_wrong_decoder_fails_sweep_at_workload_stride(surface, workload):
+    dem = surface[3]
+    stride = WORKLOADS[workload].sweep_stride
+    decodes = len(range(0, dem.num_mechanisms, stride))
+    assert checks.single_fault_failures(dem, LookupDecoder(dem), stride) == (decodes, 0)
+    assert checks.single_fault_failures(dem, FlippedDecoder(dem), stride) == (decodes, decodes)
 
+
+def test_wrong_decoder_fails_wilson_agreement(surface):
+    circuit, dem = surface[2], surface[3]
     shots = 2000
     batch = sample_detector_error_model(dem, shots, seed=3)
     reference = checks.reference_error_rate("lookup", circuit, dem, shots=shots, seed=4)

@@ -12,6 +12,12 @@ the same boundaries.  The tracer's own bookkeeping (deduplicating
 syndromes to report ``unique_ratio``, for instance) is subtracted from
 every span it runs inside and from the glue time.
 
+``trace.overhead_s`` (traced minus untraced pass) is what the traced run
+costs end to end, but with one pass per side it mostly shows how the
+machine's speed changed between the two passes.  ``trace.self_s`` is the
+tracer's own cost measured directly: its bookkeeping time plus its wrapper
+calls times the cost of one wrapped call, calibrated once per run.
+
 The tracer also keeps the inputs of the first DEM build and the first
 decode call of its pass.  :meth:`Tracer.python_calls` replays each once,
 after the pass, under a C-level profiler and counts the Python function
@@ -53,6 +59,8 @@ class Tracer:
         self.counts: dict[str, int] = defaultdict(int)
         self.outer_seconds = 0.0
         self.bookkeeping_seconds = 0.0
+        #: Calls into the tracer's wrappers.
+        self.calls = 0
         self._depth = 0
         self._in_evaluate_many = 0
         #: counter name -> (function, args) of the first call, for replay.
@@ -62,6 +70,7 @@ class Tracer:
     @contextmanager
     def span(self, name: str):
         """Time one layer call."""
+        self.calls += 1
         self._depth += 1
         bookkept = self.bookkeeping_seconds
         start = time.perf_counter()
@@ -114,6 +123,7 @@ class Tracer:
         tracer = self
 
         def evaluate_many(self, schedules):
+            tracer.calls += 1
             tracer.counts["core.rollouts"] += len(schedules)
             tracer.counts["core.lookups"] += len(schedules)
             tracer._in_evaluate_many += 1
@@ -130,6 +140,7 @@ class Tracer:
         def evaluate(self, schedule):
             # evaluate_many only forwards cache misses; its lookups are
             # counted there.
+            tracer.calls += 1
             if not tracer._in_evaluate_many:
                 tracer.counts["core.lookups"] += 1
             return original(self, schedule)
@@ -170,6 +181,7 @@ class Tracer:
 
     def _decoder_build(self, original):
         def build(spec, **extra):
+            self.calls += 1
             factory = original(spec, **extra)
 
             def traced_factory(dem):
@@ -274,7 +286,26 @@ class Tracer:
                 "s",
             ),
             "trace.overhead_s": (traced_wall - untraced_wall, "s"),
+            "trace.self_s": (
+                self.bookkeeping_seconds + self.calls * wrapped_call_seconds(),
+                "s",
+            ),
         }
+
+
+def wrapped_call_seconds(calls: int = 100_000) -> float:
+    """Measured cost of one wrapped call: an extra frame, a counter and a span."""
+    probe = Tracer()
+
+    def wrapped():
+        probe.counts["calibration"] += 1
+        with probe.span("calibration"):
+            return None
+
+    started = time.perf_counter()
+    for _ in range(calls):
+        wrapped()
+    return (time.perf_counter() - started) / calls
 
 
 @contextmanager
